@@ -2,7 +2,9 @@
 #
 #   make test          vet + lint + full test suite (tier-1 gate)
 #   make vet           standard go vet only
-#   make lint          ntclint determinism/instrumentation analyzers
+#   make lint          gofmt check (every .go file outside vendor/ and
+#                      hidden directories must be gofmt-clean), then the
+#                      ntclint determinism/instrumentation analyzers
 #                      (wallclock, globalrand, maprange, panicmsg,
 #                      obsgate, units, floatorder, snapshotcheck,
 #                      ctxloop) via go vet -vettool, plus a standalone
@@ -36,12 +38,15 @@
 #   make bench-sweep   parallel-vs-serial sweep engine benchmarks only
 #   make bench-obs     observability overhead benchmarks (metrics
 #                      disabled-path + telemetry sampler), both gated <2%
-#   make bench-json    run the hot-path benchmarks (serve DES steady state
-#                      + cluster access kernel) and write the machine-
-#                      readable perf point to $(BENCH_JSON) (BENCH_9.json)
-#                      via cmd/benchjson. Set BENCH_BASELINE to a prior
-#                      BENCH_*.json to embed it and compute speedups;
-#                      set BENCHTIME=1x for the CI smoke run.
+#   make bench-json    run the hot-path benchmarks (serve DES steady state,
+#                      cluster access kernel, and the generator layers:
+#                      RNG draws, Zipf and Geometric kernels, per-profile
+#                      Generator.Next, RestoreCluster) and write the
+#                      machine-readable perf point to $(BENCH_JSON)
+#                      (BENCH_12.json) via cmd/benchjson. Set
+#                      BENCH_BASELINE to a prior BENCH_*.json to embed it
+#                      and compute speedups; set BENCHTIME=1x for the CI
+#                      smoke run.
 #   make golden-update regenerate cmd/ntcsim golden files after an
 #                      intentional model change (review the diff!).
 #                      Lint never rewrites sources, so golden outputs
@@ -51,7 +56,7 @@ GO ?= go
 
 # bench-json knobs: where the perf point lands, how long each benchmark
 # runs (1x in CI smoke mode), and an optional prior point to diff against.
-BENCH_JSON ?= BENCH_9.json
+BENCH_JSON ?= BENCH_12.json
 BENCHTIME ?= 1s
 BENCH_BASELINE ?=
 
@@ -66,6 +71,8 @@ vet:
 	$(GO) vet ./...
 
 lint:
+	@unformatted=$$(gofmt -l $$(find . \( -path ./vendor -o -path './.*' \) -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build -o bin/ntclint ./cmd/ntclint
 	$(GO) vet -vettool=$(CURDIR)/bin/ntclint ./...
 	bin/ntclint -format json . > /dev/null
@@ -122,6 +129,8 @@ bench-obs:
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkServeSteadyState|BenchmarkClusterAccess' \
 		-benchmem -benchtime $(BENCHTIME) . > bench.out
+	$(GO) test -run xxx -bench 'BenchmarkUint64|BenchmarkZipfNext|BenchmarkGeometric|BenchmarkGeneratorNext|BenchmarkRestoreCluster' \
+		-benchmem -benchtime $(BENCHTIME) ./internal/rng ./internal/workload ./internal/sim >> bench.out
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) \
 		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) bench.out
 	@rm -f bench.out

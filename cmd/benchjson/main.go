@@ -4,12 +4,15 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench . -benchmem . > bench.out
-//	benchjson -out BENCH_9.json [-baseline BENCH_8.json] bench.out
+//	go test -run xxx -bench . -benchmem . ./internal/rng > bench.out
+//	benchjson -out BENCH_12.json [-baseline BENCH_9.json] bench.out
 //
 // With no file argument the benchmark output is read from stdin. Every
 // benchmark line is parsed into iterations, ns/op, B/op, allocs/op and
-// any custom b.ReportMetric metrics (events/s, accesses/s, ...). With
+// any custom b.ReportMetric metrics (events/s, accesses/s, ...). The
+// output may span several packages: each benchmark records the package
+// its "pkg:" header named, and a name reported by two packages is an
+// error rather than a silent overwrite. With
 // -baseline, a prior BENCH_*.json is embedded verbatim under "baseline"
 // and per-benchmark speedups (baseline ns/op over current ns/op) are
 // computed for every benchmark present in both, so a PR can demonstrate
@@ -34,6 +37,7 @@ import (
 
 // Bench is one parsed benchmark result.
 type Bench struct {
+	Pkg         string             `json:"pkg,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BPerOp      float64            `json:"b_per_op,omitempty"`
@@ -108,13 +112,23 @@ func parse(r io.Reader) (*File, error) {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	pkg := ""
 	for sc.Scan() {
 		line := sc.Text()
 		if cpu, found := strings.CutPrefix(line, "cpu: "); found {
 			f.CPU = strings.TrimSpace(cpu)
 			continue
 		}
+		if p, found := strings.CutPrefix(line, "pkg: "); found {
+			pkg = strings.TrimSpace(p)
+			continue
+		}
 		if name, b, ok := parseBenchLine(line); ok {
+			// A repeat within one package (-count N) keeps the last run.
+			if old, dup := f.Benchmarks[name]; dup && old.Pkg != pkg {
+				return nil, fmt.Errorf("benchjson: %s is reported by both %s and %s", name, old.Pkg, pkg)
+			}
+			b.Pkg = pkg
 			f.Benchmarks[name] = b
 		}
 	}

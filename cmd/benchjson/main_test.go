@@ -54,6 +54,58 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// multiPkgBench is `go test -bench` output over several packages: each
+// package prints its own header block.
+const multiPkgBench = sampleBench + `goos: linux
+goarch: amd64
+pkg: ntcsim/internal/rng
+cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
+BenchmarkGeometric/stream-2   	29011238	        41.11 ns/op	       0 B/op	       0 allocs/op
+BenchmarkGeometric/table-2    	156406310	         7.671 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	ntcsim/internal/rng	3.120s
+goos: linux
+goarch: amd64
+pkg: ntcsim/internal/workload
+cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
+BenchmarkGeneratorNext/profile=vm-low-mem-2         	13254900	        94.53 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	ntcsim/internal/workload	2.013s
+`
+
+func TestParseSeveralPackages(t *testing.T) {
+	f, err := parse(strings.NewReader(multiPkgBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pkg := range map[string]string{
+		"BenchmarkClusterAccess":                    "ntcsim",
+		"BenchmarkGeometric/table":                  "ntcsim/internal/rng",
+		"BenchmarkGeneratorNext/profile=vm-low-mem": "ntcsim/internal/workload",
+	} {
+		b, ok := f.Benchmarks[name]
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		if b.Pkg != pkg {
+			t.Fatalf("%s: pkg %q, want %q", name, b.Pkg, pkg)
+		}
+	}
+	if got := f.Benchmarks["BenchmarkGeometric/table"].NsPerOp; got != 7.671 {
+		t.Fatalf("BenchmarkGeometric/table ns/op = %v", got)
+	}
+	if len(f.Benchmarks) != 6 {
+		t.Fatalf("parsed %d benchmarks, want 6", len(f.Benchmarks))
+	}
+}
+
+func TestParseRejectsNameInTwoPackages(t *testing.T) {
+	clash := strings.ReplaceAll(multiPkgBench, "BenchmarkGeometric/table-2", "BenchmarkClusterAccess-2")
+	if _, err := parse(strings.NewReader(clash)); err == nil {
+		t.Fatal("want error for a benchmark name reported by two packages")
+	}
+}
+
 func TestParseRejectsEmptyInput(t *testing.T) {
 	if _, err := parse(strings.NewReader("PASS\nok ntcsim 1.0s\n")); err == nil {
 		t.Fatal("want error for input with no benchmark lines")

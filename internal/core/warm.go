@@ -39,7 +39,7 @@ func (e *Explorer) warmedCluster(ctx context.Context, p *workload.Profile) (*sim
 	}
 	path := filepath.Join(e.CheckpointDir, fmt.Sprintf("%s-%016x.ckpt", p.Name, fp))
 
-	if cl, err := e.loadOrQuarantine(fsys, path, fp); err != nil || cl != nil {
+	if cl, err := e.loadOrQuarantine(fsys, p, path, fp); err != nil || cl != nil {
 		return cl, err
 	}
 
@@ -56,7 +56,7 @@ func (e *Explorer) warmedCluster(ctx context.Context, p *workload.Profile) (*sim
 
 	// Re-check after acquiring (or giving up on) the lock: the previous
 	// holder may have completed the warmup while we waited.
-	if cl, err := e.loadOrQuarantine(fsys, path, fp); err != nil || cl != nil {
+	if cl, err := e.loadOrQuarantine(fsys, p, path, fp); err != nil || cl != nil {
 		return cl, err
 	}
 
@@ -95,8 +95,8 @@ func (e *Explorer) warmFresh(p *workload.Profile) (*sim.Cluster, error) {
 //   - (nil, err): the quarantine bookkeeping itself failed — the corrupt
 //     file could not be moved aside, so silently re-warming would rewrite
 //     over evidence and retry the same failure forever.
-func (e *Explorer) loadOrQuarantine(fsys faultfs.FS, path string, fp uint64) (*sim.Cluster, error) {
-	cl, err := loadClusterCheckpoint(fsys, path, fp)
+func (e *Explorer) loadOrQuarantine(fsys faultfs.FS, p *workload.Profile, path string, fp uint64) (*sim.Cluster, error) {
+	cl, err := loadClusterCheckpoint(fsys, p, path, fp)
 	switch {
 	case err == nil:
 		return cl, nil
@@ -159,12 +159,13 @@ func (e *Explorer) lockWarm(ctx context.Context, fsys faultfs.FS, path string) (
 	}
 }
 
-// loadClusterCheckpoint restores a sealed checkpoint, verifying integrity
-// and the config fingerprint. A CRC-valid file that nevertheless fails to
-// restore (shape mismatch, unknown workload) is reported as corrupt: the
-// fingerprint covers every input that shapes the cluster, so a verified
-// file can only fail restore if its contents lie.
-func loadClusterCheckpoint(fsys faultfs.FS, path string, fp uint64) (*sim.Cluster, error) {
+// loadClusterCheckpoint restores a sealed checkpoint of profile p,
+// verifying integrity and the config fingerprint. The restored cluster
+// runs p itself, not the stock profile of the same name. A CRC-valid file
+// that nevertheless fails to restore (shape mismatch, another workload) is
+// reported as corrupt: the fingerprint covers every input that shapes the
+// cluster, so a verified file can only fail restore if its contents lie.
+func loadClusterCheckpoint(fsys faultfs.FS, p *workload.Profile, path string, fp uint64) (*sim.Cluster, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
@@ -173,6 +174,9 @@ func loadClusterCheckpoint(fsys faultfs.FS, path string, fp uint64) (*sim.Cluste
 	ck, err := sim.LoadSealed(f, fp)
 	if err != nil {
 		return nil, err
+	}
+	if err := ck.Bind(p); err != nil {
+		return nil, fmt.Errorf("%w: restoring: %v", sim.ErrCheckpointCorrupt, err)
 	}
 	cl, err := sim.RestoreCluster(ck)
 	if err != nil {

@@ -14,6 +14,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -83,6 +84,14 @@ func (l *Loader) Load(path string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		// Honor build constraints (//go:build lines, _GOOS/_GOARCH
+		// suffixes) as the go command does, so a file and its
+		// alternative for another toolchain are not both type-checked.
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil,

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/parser"
+	"go/types"
+	"path/filepath"
 	"testing"
 )
 
@@ -49,5 +51,21 @@ func TestStringPrefix(t *testing.T) {
 		if got != c.want || ok != c.ok {
 			t.Errorf("stringPrefix(%s) = (%q, %v), want (%q, %v)", c.expr, got, ok, c.want, c.ok)
 		}
+	}
+}
+
+// TestLoaderHonorsBuildConstraints checks that the standalone loader
+// type-checks only the files the go command would build.
+func TestLoaderHonorsBuildConstraints(t *testing.T) {
+	l := NewLoader(func(path string) (string, bool) {
+		return filepath.Join("testdata", "src", path), path == "buildtags"
+	})
+	p, err := l.Load("buildtags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := p.Types.Scope().Lookup("Picked").(*types.Const)
+	if !ok || c.Val().ExactString() != `"on"` {
+		t.Fatalf("loaded %v, want the go1.1 file's constant", p.Types.Scope().Lookup("Picked"))
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 func reads() time.Duration {
-	start := time.Now() // want `wall-clock read time\.Now outside the observability allowlist`
-	_ = clk.Now()       // want `wall-clock read time\.Now outside the observability allowlist`
-	<-time.Tick(1)      // want `wall-clock read time\.Tick outside the observability allowlist`
+	start := time.Now()      // want `wall-clock read time\.Now outside the observability allowlist`
+	_ = clk.Now()            // want `wall-clock read time\.Now outside the observability allowlist`
+	<-time.Tick(1)           // want `wall-clock read time\.Tick outside the observability allowlist`
 	return time.Since(start) // want `wall-clock read time\.Since outside the observability allowlist`
 }
 

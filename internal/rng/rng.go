@@ -76,6 +76,11 @@ func (s *Stream) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with n == 0")
 	}
+	if n&(n-1) == 0 {
+		// Power of two: the rejection limit below is 0, so the first draw
+		// is always accepted, and v % n == v & (n-1).
+		return s.Uint64() & (n - 1)
+	}
 	// Rejection sampling to avoid modulo bias.
 	limit := -n % n // == (2^64 - n) % n, the count of biased high values
 	for {
@@ -97,6 +102,24 @@ func (s *Stream) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
+}
+
+// Uint53 returns the next 53-bit draw: the integer m behind
+// Float64() == m / 2^53.
+func (s *Stream) Uint53() uint64 { return s.Uint64() >> 11 }
+
+// Cut returns the threshold for comparing a 53-bit draw against p without
+// converting it to float: s.Float64() < p exactly when s.Uint53() < Cut(p).
+// For p in (0, 1), p*2^53 is exact (a power-of-two scaling), and for an
+// integer m, m/2^53 < p iff m < p*2^53 iff m < ceil(p*2^53).
+func Cut(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN, against which every comparison is false
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Bool returns true with probability p.
@@ -132,7 +155,14 @@ func (s *Stream) Geometric(p float64) int {
 	if p <= 0 {
 		panic("rng: Geometric with p <= 0")
 	}
-	u := s.Float64()
+	return geometricAt(s.Uint53(), p)
+}
+
+// geometricAt is Geometric's inverse CDF at the 53-bit draw m, that is at
+// u = Float64() = m / 2^53. GeometricTable's thresholds are searched on
+// it, so the table and Geometric share one formula.
+func geometricAt(m uint64, p float64) int {
+	u := float64(m) / (1 << 53)
 	// Inverse CDF; u in [0,1) keeps the argument to Log positive.
 	k := int(math.Floor(math.Log(1-u)/math.Log(1-p))) + 1
 	if k < 1 {
@@ -193,10 +223,11 @@ func (s *Stream) gamma(shape float64) float64 {
 }
 
 // Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^theta, via inverse-CDF over a precomputed table.
+// 1/(rank+1)^theta, via inverse-CDF over a precomputed table. Samplers
+// with the same (n, theta) share one immutable table.
 type Zipf struct {
-	cdf []float64
-	s   *Stream
+	t *zipfTable
+	s *Stream
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent theta >= 0
@@ -205,36 +236,21 @@ func NewZipf(s *Stream, n int, theta float64) *Zipf {
 	if n <= 0 {
 		panic("rng: NewZipf with n <= 0")
 	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), theta)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, s: s}
+	t := zipfTables.get(zipfKey{n, math.Float64bits(theta)}, func() *zipfTable {
+		return newZipfTable(n, theta)
+	})
+	return &Zipf{t: t, s: s}
 }
 
 // Next returns the next rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.s.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func (z *Zipf) Next() int { return z.t.rank(z.s.Float64()) }
+
+// Rank returns the first rank whose cumulative probability is >= u, for u
+// in [0, 1): the inverse CDF that Next applies to a uniform draw.
+func (z *Zipf) Rank(u float64) int { return z.t.rank(u) }
 
 // N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
+func (z *Zipf) N() int { return len(z.t.cdf) }
 
 // State returns the stream's internal state for checkpointing.
 func (s *Stream) State() uint64 { return s.state }

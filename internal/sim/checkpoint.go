@@ -29,6 +29,18 @@ type Checkpoint struct {
 	Profiles []string // workload names, one per core
 	FreqHz   float64
 
+	// bound holds the profile behind each entry of Profiles. Checkpoint
+	// sets it and Bind supplies it after a load; gob skips it.
+	// RestoreCluster runs these profiles, so an edited or custom-named
+	// profile restores as itself rather than as the stock profile of the
+	// same name.
+	bound []*workload.Profile
+	// tables keeps the source cluster's generator tables (Zipf CDFs,
+	// branch biases) alive while the checkpoint lives, so every restore
+	// finds them built instead of rebuilding them after a GC.
+	//ntclint:allow snapshotcheck keep-alive only: restores look the tables up by value
+	tables []workload.Tables
+
 	Cores   []cpu.CoreState
 	Banks   [][][]cache.LineState
 	BankSts []cache.Stats
@@ -60,6 +72,8 @@ func (cl *Cluster) Checkpoint() *Checkpoint {
 	for _, p := range cl.profiles {
 		ck.Profiles = append(ck.Profiles, p.Name)
 	}
+	ck.bound = cl.profiles
+	ck.tables = cl.tables
 	for _, c := range cl.cores {
 		ck.Cores = append(ck.Cores, c.State())
 	}
@@ -70,15 +84,36 @@ func (cl *Cluster) Checkpoint() *Checkpoint {
 	return ck
 }
 
-// RestoreCluster rebuilds a cluster from a checkpoint.
+// Bind supplies the profiles a loaded checkpoint restores with, matched
+// to its cores by name. Every core's workload must be among them.
+func (ck *Checkpoint) Bind(profiles ...*workload.Profile) error {
+	bound := make([]*workload.Profile, len(ck.Profiles))
+	for i, name := range ck.Profiles {
+		for _, p := range profiles {
+			if p.Name == name {
+				bound[i] = p
+				break
+			}
+		}
+		if bound[i] == nil {
+			return fmt.Errorf("sim: checkpoint core %d runs %q, which is not among the bound profiles", i, name)
+		}
+	}
+	ck.bound = bound
+	return nil
+}
+
+// RestoreCluster rebuilds a cluster from a checkpoint. Each core runs its
+// bound profile (see Bind) if that profile carries the core's recorded
+// name, and otherwise the stock profile of that name.
 func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
 	profiles := make([]*workload.Profile, len(ck.Profiles))
 	for i, name := range ck.Profiles {
-		p := workload.ByName(name)
-		if p == nil {
+		if i < len(ck.bound) && ck.bound[i].Name == name {
+			profiles[i] = ck.bound[i]
+		} else if profiles[i] = workload.ByName(name); profiles[i] == nil {
 			return nil, fmt.Errorf("sim: checkpoint references unknown workload %q", name)
 		}
-		profiles[i] = p
 	}
 	cl, err := NewMixedCluster(ck.Config, profiles, ck.FreqHz)
 	if err != nil {

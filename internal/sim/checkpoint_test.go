@@ -265,3 +265,75 @@ func TestSealedStaleRequiresIntegrity(t *testing.T) {
 		t.Fatalf("corrupt+stale file must report corruption first, got %v", err)
 	}
 }
+
+// TestCheckpointRestoresBoundProfiles checks that a restore runs the
+// profile the cluster was built with, not the stock profile of its name:
+// directly from Checkpoint, and through a serialized copy once Bind
+// supplies the profile again.
+func TestCheckpointRestoresBoundProfiles(t *testing.T) {
+	edited := workload.WebSearch()
+	edited.DepGeomP = 0.05
+	custom := workload.WebSearch()
+	custom.Name = "my-search"
+	for _, p := range []*workload.Profile{edited, custom} {
+		cl, err := NewCluster(DefaultConfig(), p, 2e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.FastForward(20000)
+		ck := cl.Checkpoint()
+		restored, err := RestoreCluster(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range restored.Profiles() {
+			if got != p {
+				t.Fatalf("%s: core %d restored %s with DepGeomP %v", p.Name, i, got.Name, got.DepGeomP)
+			}
+		}
+
+		var buf bytes.Buffer
+		if err := ck.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadCheckpoint(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Bind(workload.DataServing()); err == nil {
+			t.Fatalf("%s: Bind accepted a profile of another name", p.Name)
+		}
+		if err := loaded.Bind(workload.DataServing(), p); err != nil {
+			t.Fatal(err)
+		}
+		restored, err = RestoreCluster(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.Profile(); got != p {
+			t.Fatalf("%s: bound restore ran %s with DepGeomP %v", p.Name, got.Name, got.DepGeomP)
+		}
+		if a, b := cl.Measure(10000), restored.Measure(10000); a.Instructions != b.Instructions || a.DRAM != b.DRAM {
+			t.Fatalf("%s: bound restore diverged from the original", p.Name)
+		}
+	}
+}
+
+// BenchmarkRestoreCluster times one sweep point's restore of a warmed
+// data-serving checkpoint: cluster construction (generators and their
+// tables included) plus loading every component's state.
+func BenchmarkRestoreCluster(b *testing.B) {
+	cl, err := NewCluster(DefaultConfig(), workload.DataServing(), 2e9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl.FastForward(200_000)
+	ck := cl.Checkpoint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RestoreCluster(ck); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

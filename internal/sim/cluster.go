@@ -58,6 +58,7 @@ type Cluster struct {
 	profiles []*workload.Profile // per core
 	freqHz   float64
 	cores    []*cpu.Core
+	tables   []workload.Tables // the generators' shared lookup tables, handed on to checkpoints
 	banks    []*cache.Cache
 	//ntclint:allow snapshotcheck derived: rebuilt by NewMixedCluster from cfg
 	llcModel *sram.Model
@@ -171,6 +172,7 @@ func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *S
 	for i := 0; i < cfg.CoresPerCluster; i++ {
 		gid := coreIDBase + i
 		gen := workload.NewGenerator(profiles[i], gid, seed)
+		cl.tables = append(cl.tables, gen.Tables())
 		core, err := cpu.New(cfg.Core, gid, gen, cl, freqHz)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)

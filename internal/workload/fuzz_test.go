@@ -6,13 +6,14 @@ import (
 	"ntcsim/internal/rng"
 )
 
-// FuzzGeneratorInvariants drives every profile with arbitrary seeds and
-// core IDs and checks the trace invariants the simulator relies on.
+// FuzzGeneratorInvariants drives every ByName profile (the evaluation
+// set, the extended set and the bubble antagonist) with arbitrary seeds
+// and core IDs and checks the trace invariants the simulator relies on.
 func FuzzGeneratorInvariants(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0))
 	f.Add(uint64(0xdeadbeef), uint8(3), uint8(5))
 	f.Fuzz(func(t *testing.T, seed uint64, coreID, profIdx uint8) {
-		profiles := All()
+		profiles := byNameProfiles()
 		p := profiles[int(profIdx)%len(profiles)]
 		core := int(coreID % 8)
 		g := NewGenerator(p, core, rng.New(seed))

@@ -75,6 +75,14 @@ const (
 	instrBytes     = 4
 )
 
+// Fixed draw thresholds: the OS data tiers and the backward share of near
+// jumps.
+var (
+	osStackCut  = rng.Cut(0.60)
+	osHotCut    = rng.Cut(0.88)
+	backwardCut = rng.Cut(0.6)
+)
+
 // Generator produces the deterministic instruction stream of one core
 // running one workload. Two generators with the same (profile, coreID,
 // seed stream) produce identical traces.
@@ -90,7 +98,18 @@ type Generator struct {
 	os   *rng.Stream
 
 	branchPick *rng.Zipf
-	biases     []float64
+	biases     *rng.BetaCuts // per-branch taken-bias thresholds
+	depDist    *rng.GeometricTable
+
+	// Per-instruction invariants of p, hoisted out of Next. The
+	// probabilities are computed with the same operations in the same
+	// order as the inline expressions they replace and stored as
+	// rng.Cut thresholds on 53-bit draws, so every comparison decides as
+	// the float comparison it replaces.
+	mixLoad, mixStore, mixBranch, mixFP uint64 // cumulative instruction mix
+	tierStack, tierHot, tierStream      uint64 // cumulative data tiers
+	osEnter, farJump                    uint64
+	hotChunkLines, coldChunkLines       uint64
 
 	coldZipf   *rng.Zipf
 	hotZipf    *rng.Zipf
@@ -109,7 +128,8 @@ type Generator struct {
 }
 
 // NewGenerator builds the generator for profile p on global core coreID,
-// deriving all internal streams from seed.
+// deriving all internal streams from seed. The generator caches values
+// derived from p, so p must not change afterwards.
 func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 	if p.DataBytes == 0 || p.CodeBytes == 0 {
 		panic(fmt.Sprintf("workload %q: zero footprint", p.Name))
@@ -125,12 +145,19 @@ func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 		code: root.Derive("code"),
 		os:   root.Derive("os"),
 	}
+	g.mixLoad = rng.Cut(p.LoadFrac)
+	g.mixStore = rng.Cut(p.LoadFrac + p.StoreFrac)
+	g.mixBranch = rng.Cut(p.LoadFrac + p.StoreFrac + p.BranchFrac)
+	g.mixFP = rng.Cut(p.LoadFrac + p.StoreFrac + p.BranchFrac + p.FPFrac)
+	g.tierStack = rng.Cut(p.StackFrac)
+	g.tierHot = rng.Cut(p.StackFrac + p.HotFrac)
+	g.tierStream = rng.Cut(p.StackFrac + p.HotFrac + p.StreamFrac)
+	// Enter probability chosen so mean user-run length yields OSFrac.
+	g.osEnter = rng.Cut(p.OSFrac / ((1 - p.OSFrac) * p.OSBurst))
+	g.farJump = rng.Cut(p.CodeJumpP)
+	g.depDist = rng.NewGeometricTable(p.DepGeomP)
 	g.branchPick = rng.NewZipf(root.Derive("branch-pick"), p.StaticBranches, p.BranchZipf)
-	g.biases = make([]float64, p.StaticBranches)
-	bs := root.Derive("biases")
-	for i := range g.biases {
-		g.biases[i] = bs.Beta(p.BiasAlpha, p.BiasBeta)
-	}
+	g.biases = rng.NewBetaCuts(root.Derive("biases"), p.StaticBranches, p.BiasAlpha, p.BiasBeta)
 	const line = 64
 	g.stackLines = p.StackBytes / line
 	if g.stackLines == 0 {
@@ -169,6 +196,8 @@ func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 		hotChunks = 1 << 15
 	}
 	g.hotZipf = rng.NewZipf(root.Derive("hot"), hotChunks, p.HotZipf)
+	g.coldChunkLines = max(g.coldLines/uint64(chunks), 1)
+	g.hotChunkLines = max(g.hotLines/uint64(hotChunks), 1)
 	g.codeLines = p.CodeBytes / line
 	codeChunks := int(g.codeLines)
 	if codeChunks > 1<<14 {
@@ -183,6 +212,22 @@ func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 	return g
 }
 
+// Tables is a handle on a generator's immutable lookup tables: the Zipf
+// CDFs with their guide tables, the branch biases and the dependency
+// thresholds. Generators built for the same inputs share these tables for
+// as long as a generator or a handle holds them, so keeping a handle
+// spares later generators the rebuild.
+type Tables struct {
+	zipfs  [4]*rng.Zipf
+	biases *rng.BetaCuts
+	dep    *rng.GeometricTable
+}
+
+// Tables returns the handle on g's lookup tables.
+func (g *Generator) Tables() Tables {
+	return Tables{[4]*rng.Zipf{g.branchPick, g.coldZipf, g.hotZipf, g.codeTarget}, g.biases, g.depDist}
+}
+
 // Profile returns the generator's workload profile.
 func (g *Generator) Profile() *Profile { return g.p }
 
@@ -195,29 +240,29 @@ func (g *Generator) Next(in *Instr) {
 	g.maybeToggleOS()
 	*in = Instr{OS: g.inOS}
 
-	r := g.mix.Float64()
-	p := g.p
+	r := g.mix.Uint53()
 	switch {
-	case r < p.LoadFrac:
+	case r < g.mixLoad:
 		in.Kind = Load
 		in.Addr = g.dataAddr()
-	case r < p.LoadFrac+p.StoreFrac:
+	case r < g.mixStore:
 		in.Kind = Store
 		in.Addr = g.dataAddr()
-	case r < p.LoadFrac+p.StoreFrac+p.BranchFrac:
+	case r < g.mixBranch:
 		in.Kind = Branch
 		id := g.branchPick.Next()
 		in.BranchID = int32(id)
-		in.Taken = g.brs.Bool(g.biases[id])
-	case r < p.LoadFrac+p.StoreFrac+p.BranchFrac+p.FPFrac:
+		in.Taken = g.brs.Uint53() < g.biases.At(id)
+	case r < g.mixFP:
 		in.Kind = FP
 	default:
 		in.Kind = ALU
 	}
 
 	// Register dependency distance: geometric with the profile's ILP
-	// parameter, capped so it stays inside any realistic window.
-	d := g.dep.Geometric(p.DepGeomP)
+	// parameter, capped so it stays inside any realistic window. The
+	// table returns Geometric(DepGeomP) exactly up to 64 and 65 beyond.
+	d := g.depDist.Next(g.dep)
 	if d > 64 {
 		d = 0 // effectively independent
 	}
@@ -239,9 +284,7 @@ func (g *Generator) maybeToggleOS() {
 		}
 		return
 	}
-	// Enter probability chosen so mean user-run length yields OSFrac.
-	enterP := g.p.OSFrac / ((1 - g.p.OSFrac) * g.p.OSBurst)
-	if g.os.Bool(enterP) {
+	if g.os.Uint53() < g.osEnter {
 		g.inOS = true
 		g.osLeft = g.os.Geometric(1 / g.p.OSBurst)
 	}
@@ -256,37 +299,33 @@ func (g *Generator) dataAddr() uint64 {
 		// OS accesses in three tiers: per-CPU kernel stack (L1-resident),
 		// hot kernel structures (runqueues, socket buffers), and the long
 		// tail of LLC-scale kernel data.
-		r := g.mem.Float64()
+		r := g.mem.Uint53()
 		switch {
-		case r < 0.60:
+		case r < osStackCut:
 			return g.base + osDataBase + g.mem.Uint64n(8<<10)
-		case r < 0.88:
+		case r < osHotCut:
 			return g.base + osDataBase + g.mem.Uint64n(32<<10/line)*line
 		default:
 			return g.base + osDataBase + g.mem.Uint64n(osDataBytes/line)*line
 		}
 	}
-	r := g.mem.Float64()
+	r := g.mem.Uint53()
 	p := g.p
 	hotBase := p.StackBytes
 	coldBase := p.StackBytes + p.HotBytes
 	switch {
-	case r < p.StackFrac:
+	case r < g.tierStack:
 		// Primary working set: uniform within an L1-sized region.
 		return g.base + g.mem.Uint64n(g.stackLines)*line + g.mem.Uint64n(line)
-	case r < p.StackFrac+p.HotFrac:
+	case r < g.tierHot:
 		// Hot region: Zipf over chunks, uniform within a chunk.
 		chunk := uint64(g.hotZipf.Next())
-		chunkLines := g.hotLines / uint64(g.hotZipf.N())
-		if chunkLines == 0 {
-			chunkLines = 1
-		}
-		ln := chunk*chunkLines + g.mem.Uint64n(chunkLines)
+		ln := chunk*g.hotChunkLines + g.mem.Uint64n(g.hotChunkLines)
 		if ln >= g.hotLines {
 			ln = g.hotLines - 1
 		}
 		return g.base + hotBase + ln*line + g.mem.Uint64n(line)
-	case r < p.StackFrac+p.HotFrac+p.StreamFrac:
+	case r < g.tierStream:
 		// Streaming cursor through the cold region, advancing at word
 		// granularity (a scan touches every word of a line before moving
 		// on, so only one access per line misses).
@@ -297,11 +336,7 @@ func (g *Generator) dataAddr() uint64 {
 	default:
 		// Cold region: Zipf over coarse chunks, uniform within a chunk.
 		chunk := uint64(g.coldZipf.Next())
-		chunkLines := g.coldLines / uint64(g.coldZipf.N())
-		if chunkLines == 0 {
-			chunkLines = 1
-		}
-		ln := chunk*chunkLines + g.mem.Uint64n(chunkLines)
+		ln := chunk*g.coldChunkLines + g.mem.Uint64n(g.coldChunkLines)
 		if ln >= g.coldLines {
 			ln = g.coldLines - 1
 		}
@@ -323,7 +358,7 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 	}
 	pc := *pcp
 	if in.Kind == Branch && in.Taken {
-		if g.code.Bool(g.p.CodeJumpP) {
+		if g.code.Uint53() < g.farJump {
 			// Far jump: Zipf-selected 64B chunk of the footprint.
 			chunk := uint64(g.codeTarget.Next())
 			chunkBytes := limit / uint64(g.codeTarget.N())
@@ -335,7 +370,7 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 		} else {
 			// Near jump: short backward loop edge or forward skip.
 			delta := uint64(g.code.Intn(512)) * instrBytes
-			if g.code.Bool(0.6) {
+			if g.code.Uint53() < backwardCut {
 				// backward
 				off := pc - base
 				if delta > off {
@@ -347,7 +382,15 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 			}
 		}
 	} else {
-		*pcp = base + (pc-base+instrBytes)%limit
+		off := pc - base + instrBytes
+		if limit < instrBytes {
+			off %= limit
+		} else if off >= limit {
+			// pc-base < limit always holds, so off < 2*limit and one
+			// subtraction is off % limit.
+			off -= limit
+		}
+		*pcp = base + off
 	}
 	return pc
 }

@@ -342,11 +342,15 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func BenchmarkGeneratorNext(b *testing.B) {
-	g := NewGenerator(DataServing(), 0, rng.New(1))
-	var in Instr
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next(&in)
+	for _, p := range byNameProfiles() {
+		b.Run("profile="+p.Name, func(b *testing.B) {
+			g := NewGenerator(p, 0, rng.New(1))
+			var in Instr
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next(&in)
+			}
+		})
 	}
 }
 
