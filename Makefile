@@ -34,6 +34,9 @@
 #                      golden, require the resubmission to be a cache
 #                      hit, and require SIGTERM to drain cleanly
 #   make race          race-detector pass over every package
+#   make bench-harness vet, build and test the ntcbench module (its own
+#                      go.mod, so `go test ./...` at the root skips it)
+#                      against this checkout's packages
 #   make bench         full benchmark suite (regenerates the paper's numbers)
 #   make bench-sweep   parallel-vs-serial sweep engine benchmarks only
 #   make bench-obs     observability overhead benchmarks (metrics
@@ -60,7 +63,7 @@ BENCH_JSON ?= BENCH_12.json
 BENCHTIME ?= 1s
 BENCH_BASELINE ?=
 
-.PHONY: all build vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race bench bench-sweep bench-obs bench-json golden-update
+.PHONY: all build vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race bench-harness bench bench-sweep bench-obs bench-json golden-update
 
 all: build
 
@@ -116,6 +119,9 @@ daemon-smoke:
 
 race:
 	$(GO) test -race ./...
+
+bench-harness:
+	cd ntcbench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ntcsim/internal/core"
+	"ntcsim/internal/experiments"
 	"ntcsim/internal/governor"
 	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/platform"
@@ -31,15 +32,16 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// benchExplorer builds a reduced-cost explorer.
-func benchExplorer(b *testing.B) *core.Explorer {
+// benchParams is the reduced-cost parameter set the sweep benchmarks use.
+var benchParams = experiments.Params{WarmInstr: 800_000, SettleCycles: 10_000}
+
+// benchExplorer builds a reduced-cost explorer on the given runtime seams.
+func benchExplorer(b *testing.B, env experiments.Env) *core.Explorer {
 	b.Helper()
-	e, err := core.NewExplorer()
+	e, err := benchParams.NewExplorer(env)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.WarmInstr = 800_000
-	e.SettleCycles = 10_000
 	return e
 }
 
@@ -88,7 +90,7 @@ func BenchmarkTable1DRAMEnergy(b *testing.B) {
 func BenchmarkFig2QoS(b *testing.B) {
 	var minMHz float64
 	for i := 0; i < b.N; i++ {
-		e := benchExplorer(b)
+		e := benchExplorer(b, experiments.Env{})
 		sw, err := e.Sweep(context.Background(), workload.WebSearch(), benchFreqs)
 		if err != nil {
 			b.Fatal(err)
@@ -108,7 +110,7 @@ func BenchmarkFig2QoS(b *testing.B) {
 func BenchmarkFig3ScaleOutEfficiency(b *testing.B) {
 	var o core.Optima
 	for i := 0; i < b.N; i++ {
-		e := benchExplorer(b)
+		e := benchExplorer(b, experiments.Env{})
 		sw, err := e.Sweep(context.Background(), workload.WebSearch(), benchFreqs)
 		if err != nil {
 			b.Fatal(err)
@@ -127,7 +129,7 @@ func BenchmarkFig3ScaleOutEfficiency(b *testing.B) {
 func BenchmarkFig4VMEfficiency(b *testing.B) {
 	var f2x, f4x float64
 	for i := 0; i < b.N; i++ {
-		e := benchExplorer(b)
+		e := benchExplorer(b, experiments.Env{})
 		sw, err := e.Sweep(context.Background(), workload.VMHighMem(), benchFreqs)
 		if err != nil {
 			b.Fatal(err)
@@ -152,7 +154,7 @@ func BenchmarkFig4VMEfficiency(b *testing.B) {
 func BenchmarkOptimalPoints(b *testing.B) {
 	var o core.Optima
 	for i := 0; i < b.N; i++ {
-		e := benchExplorer(b)
+		e := benchExplorer(b, experiments.Env{})
 		sw, err := e.Sweep(context.Background(), workload.VMLowMem(), benchFreqs)
 		if err != nil {
 			b.Fatal(err)
@@ -166,7 +168,7 @@ func BenchmarkOptimalPoints(b *testing.B) {
 // BenchmarkAblationSleepBoost measures the FD-SOI knobs of Sec. II-A:
 // state-retentive RBB sleep (~10x leakage) and sub-microsecond FBB boost.
 func BenchmarkAblationSleepBoost(b *testing.B) {
-	e := benchExplorer(b)
+	e := benchExplorer(b, experiments.Env{})
 	var reduction, speedup float64
 	for i := 0; i < b.N; i++ {
 		s, err := e.SleepAnalysis(0.5e9)
@@ -190,12 +192,12 @@ func BenchmarkAblationLPDDR4(b *testing.B) {
 	freqs := []float64{0.3e9, 1.0e9}
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		e := benchExplorer(b)
+		e := benchExplorer(b, experiments.Env{})
 		ddr4, err := e.Sweep(context.Background(), workload.MediaStreaming(), freqs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lp, err := e.LPDDR4Explorer().Sweep(context.Background(), workload.MediaStreaming(), freqs)
+		lp, err := (&core.Explorer{Model: e.LPDDR4()}).Sweep(context.Background(), workload.MediaStreaming(), freqs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,17 +213,12 @@ func BenchmarkAblationClusterSize(b *testing.B) {
 	freqs := []float64{0.3e9, 2.0e9}
 	var ratio4, ratio8 float64
 	for i := 0; i < b.N; i++ {
-		e4 := benchExplorer(b)
+		e4 := benchExplorer(b, experiments.Env{})
 		s4, err := e4.Sweep(context.Background(), workload.WebSearch(), freqs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		e8 := benchExplorer(b)
-		e8.Sim.CoresPerCluster = 8
-		e8.Sim.LLCBanks = 8
-		e8.Sim.LLC.CapacityBytes = 8 << 20
-		e8.Platform.Clusters = 4
-		e8.Platform.CoresPerCl = 8
+		e8 := &core.Explorer{Model: e4.EightCore()}
 		s8, err := e8.Sweep(context.Background(), workload.WebSearch(), freqs)
 		if err != nil {
 			b.Fatal(err)
@@ -303,7 +300,7 @@ func BenchmarkGovernorDay(b *testing.B) {
 func BenchmarkAblationInterference(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		e := benchExplorer(b)
+		e := benchExplorer(b, experiments.Env{})
 		rep, err := e.Interference(workload.WebSearch(), workload.Bubble(), 2e9)
 		if err != nil {
 			b.Fatal(err)
@@ -348,8 +345,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := benchExplorer(b)
-				e.Jobs = jobs
+				e := benchExplorer(b, experiments.Env{Jobs: jobs})
 				sw, err := e.Sweep(context.Background(), workload.WebSearch(), grid)
 				if err != nil {
 					b.Fatal(err)
@@ -370,8 +366,7 @@ func BenchmarkSweepManyParallel(b *testing.B) {
 	for _, jobs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := benchExplorer(b)
-				e.Jobs = jobs
+				e := benchExplorer(b, experiments.Env{Jobs: jobs})
 				if _, err := e.SweepMany(context.Background(), workload.All(), grid); err != nil {
 					b.Fatal(err)
 				}

@@ -19,26 +19,19 @@ import (
 //	go test ./cmd/ntcsim -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite testdata/golden files")
 
-// goldenExplorer pins every knob that feeds the output: seed, sampling
-// fidelity, warmup, settle window. The worker count is deliberately left at
-// the default (all CPUs) — the sweep engine guarantees output is
-// bit-identical for any worker count, so the goldens double as a
-// determinism check on whatever host runs the tests.
-func goldenExplorer() (*core.Explorer, error) {
-	e, err := core.NewExplorer()
-	if err != nil {
-		return nil, err
-	}
-	e.Sim.Seed = 0x5eed
-	e.WarmInstr = 200_000
-	e.SettleCycles = 10_000
-	return e, nil
-}
-
-// goldenParams is the experiments-API spelling of goldenExplorer: the
-// same pinned knobs expressed as Params, so the registry-dispatched
-// goldens and the daemon smoke test reproduce the identical bytes.
+// goldenParams pins every knob that feeds the output: seed, sampling
+// fidelity, warmup, settle window. The registry-dispatched goldens, the
+// direct sweeps of goldenExplorer and the daemon smoke test all use it,
+// so they reproduce the identical bytes.
 var goldenParams = experiments.Params{Seed: 0x5eed, WarmInstr: 200_000, SettleCycles: 10_000}
+
+// goldenExplorer is the explorer goldenParams selects. The worker count is
+// deliberately left at the default (all CPUs) — the sweep engine
+// guarantees output is bit-identical for any worker count, so the goldens
+// double as a determinism check on whatever host runs the tests.
+func goldenExplorer() (*core.Explorer, error) {
+	return goldenParams.NewExplorer(experiments.Env{})
+}
 
 // runExperiment dispatches one registered experiment through the uniform
 // API and returns its report text.
@@ -61,7 +54,7 @@ func TestGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("golden regeneration is minutes of simulation; skipped in -short and -race runs")
 	}
-	cases := []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt", "serve"}
+	cases := []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt", "serve", "ablation"}
 	for _, name := range cases {
 		tc := name
 		t.Run(tc, func(t *testing.T) {

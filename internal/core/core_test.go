@@ -12,16 +12,21 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// testExplorer returns a reduced-cost explorer for tests.
-func testExplorer(t *testing.T) *Explorer {
+// newTestExplorer returns an explorer on the quick-fidelity model with
+// the given warmup and settle lengths and a zero Runtime.
+func newTestExplorer(t *testing.T, warmInstr uint64, settleCycles int64) *Explorer {
 	t.Helper()
-	e, err := NewExplorer()
+	m, err := NewModel("quick")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.WarmInstr = 1_000_000
-	e.SettleCycles = 10_000
-	return e
+	m.WarmInstr, m.SettleCycles = warmInstr, settleCycles
+	return &Explorer{Model: m}
+}
+
+// testExplorer returns a reduced-cost explorer for tests.
+func testExplorer(t *testing.T) *Explorer {
+	return newTestExplorer(t, 1_000_000, 10_000)
 }
 
 var testFreqs = []float64{0.1e9, 0.3e9, 0.5e9, 1.0e9, 1.5e9, 2.0e9}
@@ -313,9 +318,9 @@ func TestBoostAnalysis(t *testing.T) {
 	}
 }
 
-func TestLPDDR4Explorer(t *testing.T) {
+func TestLPDDR4Model(t *testing.T) {
 	e := testExplorer(t)
-	lp := e.LPDDR4Explorer()
+	lp := e.LPDDR4()
 	ddr4bg := e.Platform.MemoryPowerW(0, 0)
 	lpbg := lp.Platform.MemoryPowerW(0, 0)
 	if lpbg >= ddr4bg/3 {
@@ -323,7 +328,7 @@ func TestLPDDR4Explorer(t *testing.T) {
 	}
 	// The original explorer must be untouched.
 	if e.Platform.Memory.Power.Name == lp.Platform.Memory.Power.Name {
-		t.Fatal("LPDDR4Explorer must not mutate the original")
+		t.Fatal("Model.LPDDR4 must not mutate the original")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package core is the near-threshold server design-space explorer — the
 // paper's primary contribution (Sec. V). It drives the full-system cluster
-// simulator across the core DVFS range, resolves each frequency to an
-// FD-SOI operating point (optionally with per-point optimal forward body
-// bias), attaches the platform power models at the paper's three scopes
+// simulator across the core DVFS range, resolves each frequency to a
+// zero-bias FD-SOI operating point, attaches the platform power models at
+// the paper's three scopes
 // (cores / SoC / server), evaluates QoS feasibility, and locates the
 // optimal-efficiency operating points:
 //
@@ -38,53 +38,51 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// Explorer runs design-space sweeps on one platform.
+// Explorer runs design-space sweeps. The embedded Model decides the
+// report bytes; the embedded Runtime decides how the sweep runs and what
+// it reports on the side, and provably never changes a result.
 type Explorer struct {
-	Platform *platform.Spec
-	Sim      sim.Config
-	// SamplingFor returns the SMARTS configuration per workload.
-	SamplingFor func(p *workload.Profile) sampling.Config
-	// WarmInstr is the per-core functional warmup before the first sample
-	// (cache/predictor state; the paper launches from warmed checkpoints).
-	WarmInstr uint64
-	// SettleCycles are run after each DVFS transition before sampling.
-	SettleCycles int64
-	// Vbb is the active body bias when UseOptimalBias is false.
-	Vbb float64
-	// UseOptimalBias selects the power-minimizing forward body bias per
-	// operating point (paper Sec. II-A item 1).
-	UseOptimalBias bool
-	// Activity is the core activity factor during load (the paper
-	// evaluates worst-case, fully loaded servers).
-	Activity float64
-	// CheckpointDir, when set, caches warmed-cluster checkpoints per
-	// workload (the SMARTS warmed-checkpoint methodology): the first sweep
-	// of a workload pays the warmup and saves
-	// `<dir>/<workload>-<fingerprint>.ckpt`, where the fingerprint hashes
-	// every input the warmed state depends on (profile parameters, sim
-	// config, warmup length — see checkpointFingerprint); later sweeps
-	// restore it and start measuring immediately. Files are written in the
-	// sealed format (CRC64 + fingerprint header): stale files re-warm
-	// silently, corrupt files are quarantined to *.corrupt and re-warmed,
-	// and concurrent sweeps sharing the directory warm each configuration
-	// once (lock file; see warm.go).
-	CheckpointDir string
-	// FS overrides the filesystem used for checkpoint persistence; nil
-	// selects the real OS filesystem. Tests inject faults through it
-	// (internal/faultfs) to prove the failure paths recover or error,
-	// never return wrong numbers.
-	FS faultfs.FS
-	// Warnf, when set, receives recovered-fault notices: quarantined
-	// corrupt checkpoints, failed checkpoint saves, stale warmup locks.
-	// These faults change performance, never results, so they are
-	// warnings rather than errors; nil discards them.
-	Warnf func(format string, args ...any)
+	Model
+	Runtime
+
+	// pointFault is a test seam: when non-nil it runs at the start of
+	// every point attempt and its error is injected as that attempt's
+	// failure (see the retry tests in warm_test.go).
+	pointFault func(point, attempt int) error
+}
+
+// Runtime holds an Explorer's execution and observability seams. Every
+// field is optional; the zero Runtime sweeps on all CPUs, uncached and
+// uninstrumented.
+type Runtime struct {
+	// Jobs bounds how many sweep points (and, in SweepMany, workloads)
+	// evaluate concurrently; <= 0 means GOMAXPROCS. Every point runs from
+	// the same warmed checkpoint under its own RNG substream split by point
+	// index, so results are bit-identical for every Jobs setting.
+	Jobs int
 	// Retries is the per-point retry budget for transient failures. Each
 	// attempt restores the point's cluster fresh from the in-memory
 	// checkpoint and reseeds the identical RNG substream, so a retried
 	// point is bit-identical to a first-try success. Context cancellation
 	// is never retried. 0 means fail fast.
 	Retries int
+	// CheckpointDir, when set, caches warmed-cluster checkpoints per
+	// workload (the SMARTS warmed-checkpoint methodology): the first sweep
+	// of a workload pays the warmup and saves
+	// `<dir>/<workload>-<fingerprint>.ckpt`, where the fingerprint hashes
+	// every Model input the warmed state depends on (see
+	// Model.checkpointFingerprint); later sweeps restore it and start
+	// measuring immediately. Files are written in the sealed format
+	// (CRC64 + fingerprint header): stale files re-warm silently, corrupt
+	// files are quarantined to *.corrupt and re-warmed, and concurrent
+	// sweeps sharing the directory warm each configuration once (lock
+	// file; see warm.go).
+	CheckpointDir string
+	// FS overrides the filesystem used for checkpoint persistence; nil
+	// selects the real OS filesystem. Tests inject faults through it
+	// (internal/faultfs) to prove the failure paths recover or error,
+	// never return wrong numbers.
+	FS faultfs.FS
 	// WarmLockPoll and WarmLockAttempts bound the single-flight warmup
 	// wait: a sweep that finds another process warming the same
 	// checkpoint polls every WarmLockPoll up to WarmLockAttempts times,
@@ -92,16 +90,6 @@ type Explorer struct {
 	// values select the defaults (100ms, 600 polls).
 	WarmLockPoll     time.Duration
 	WarmLockAttempts int
-	// Thermal, when set, couples core leakage to the junction temperature
-	// via the electro-thermal fixed point instead of the technology's
-	// calibration temperature. Near threshold the correction is tiny; at
-	// the top of the DVFS range it raises core power by several percent.
-	Thermal *thermal.Model
-	// Jobs bounds how many sweep points (and, in SweepMany, workloads)
-	// evaluate concurrently; <= 0 means GOMAXPROCS. Every point runs from
-	// the same warmed checkpoint under its own RNG substream split by point
-	// index, so results are bit-identical for every Jobs setting.
-	Jobs int
 
 	// Obs, when set, enables the observability layer: per-layer counters
 	// are harvested into the registry at each point's completion, and the
@@ -115,55 +103,23 @@ type Explorer struct {
 	// Progress, when set, reports one line per completed sweep point.
 	Progress *obs.Progress
 	// Telemetry, when set, records one chip-scope energy-ledger sample per
-	// sweep point under the series "<TelemetryPrefix>sweep/<workload>"
-	// (1-second pseudo-horizon per point: a sweep has no time axis, so
-	// each point's steady-state watts are booked as joules-per-second).
-	// Samples are buffered per point and recorded in ascending-frequency
-	// order after the parallel fan-out, keeping output byte-identical for
-	// every Jobs setting.
+	// sweep point under the series "<Label>sweep/<workload>" (1-second
+	// pseudo-horizon per point: a sweep has no time axis, so each point's
+	// steady-state watts are booked as joules-per-second). Samples are
+	// buffered per point and recorded in ascending-frequency order after
+	// the parallel fan-out, keeping output byte-identical for every Jobs
+	// setting.
 	Telemetry *timeseries.Sampler
-	// TelemetryPrefix disambiguates series when several explorers sweep
-	// the same workload names in one run (e.g. the ablation's LPDDR4 and
-	// 8-core variants).
-	TelemetryPrefix string
-
-	// pointFault is a test seam: when non-nil it runs at the start of
-	// every point attempt and its error is injected as that attempt's
-	// failure (see the retry tests in warm_test.go).
-	pointFault func(point, attempt int) error
-}
-
-// NewExplorer returns an explorer for the paper's default platform with
-// the reduced-cost sampling configuration (use WithFidelity("paper") or
-// PaperFidelity for the full SMARTS windows), then applies the options in
-// order. With no options the explorer is the historical default, so
-// existing zero-argument callers are unchanged.
-func NewExplorer(opts ...Option) (*Explorer, error) {
-	spec, err := platform.Default()
-	if err != nil {
-		return nil, err
-	}
-	e := &Explorer{
-		Platform:     spec,
-		Sim:          sim.DefaultConfig(),
-		SamplingFor:  func(*workload.Profile) sampling.Config { return sampling.QuickConfig() },
-		WarmInstr:    2_000_000,
-		SettleCycles: 20_000,
-		Activity:     1.0,
-	}
-	if err := e.apply(opts); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// PaperFidelity switches the explorer to the paper's full sampling windows
-// (100K/50K cycles, 2M/400K for Data Serving, 95%/2% termination) and a
-// longer initial warmup. Sweeps take correspondingly longer.
-func (e *Explorer) PaperFidelity() {
-	e.SamplingFor = sampling.PaperConfig
-	e.WarmInstr = 8_000_000
-	e.SettleCycles = 100_000
+	// Label names a model variant when several explorers sweep the same
+	// workload names into one registry or sampler (e.g. the ablation's
+	// LPDDR4 and 8-core variants). It prefixes the telemetry series and
+	// the point-gauge keys; the empty label keeps the bare names.
+	Label string
+	// Warnf, when set, receives recovered-fault notices: quarantined
+	// corrupt checkpoints, failed checkpoint saves, stale warmup locks.
+	// These faults change performance, never results, so they are
+	// warnings rather than errors; nil discards them.
+	Warnf func(format string, args ...any)
 }
 
 // Point is one evaluated operating point of a sweep.
@@ -224,6 +180,9 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 		if f <= 0 {
 			return nil, fmt.Errorf("core: non-positive frequency %v", f)
 		}
+	}
+	if _, _, err := fidelityWarmup(e.Fidelity); err != nil {
+		return nil, err
 	}
 
 	// The sweep's own trace lane carries the serial prelude (warmup,
@@ -298,7 +257,7 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 	if e.Telemetry != nil {
 		// Record sequentially in point order — the workers only filled the
 		// buffer — and report the sweep's total for the conservation audit.
-		tel := e.Telemetry.Series(e.TelemetryPrefix + "sweep/" + p.Name)
+		tel := e.Telemetry.Series(e.Label + "sweep/" + p.Name)
 		var totalJ float64
 		for i := range samples {
 			tel.Record(samples[i])
@@ -361,7 +320,7 @@ func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 		// Harvest exactly once per point cluster: the layer counters
 		// are cumulative since EnableObs.
 		pcl.HarvestObs(e.Obs)
-		harvestResult(e.Obs, p, freqs[i], res, pt)
+		harvestResult(e.Obs, e.Label, p, freqs[i], res, pt)
 	}
 	d := time.Since(ptStart) //ntclint:allow wallclock trace/progress duration only; never reaches results
 	e.Tracer.Complete("point", label, lane, ptStart, d,
@@ -410,13 +369,7 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 // evaluate attaches operating point, power and QoS to one sampled result.
 func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampling.Result) (Point, error) {
 	spec := e.Platform
-	var op tech.OperatingPoint
-	var err error
-	if e.UseOptimalBias {
-		op, _, err = spec.Core.OptimalBias(f, e.Activity)
-	} else {
-		op, err = spec.Tech.OperatingPointFor(f, e.Vbb)
-	}
+	op, err := spec.Tech.OperatingPointFor(f, 0) // active cores run at zero body bias
 	if err != nil {
 		return Point{}, fmt.Errorf("core: %.0f MHz: %w", f/1e6, err)
 	}
@@ -427,12 +380,12 @@ func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampl
 	// Per-cluster uncore activity rates come straight from the simulation;
 	// memory bandwidth is aggregated across clusters.
 	pw := platform.ServerPower{
-		CoresW:  spec.CorePowerW(op, e.Activity),
+		CoresW:  spec.CorePowerW(op, Activity),
 		UncoreW: spec.UncorePowerW(res.LLCReadRate(), res.LLCWriteRate(), res.LLCAccessRate()),
 		MemoryW: spec.MemoryPowerW(res.ReadBandwidth()*clusters, res.WriteBandwidth()*clusters),
 	}
 	if e.Thermal != nil {
-		eq := thermal.SolveEquilibrium(*e.Thermal, spec.Core, op, e.Activity,
+		eq := thermal.SolveEquilibrium(*e.Thermal, spec.Core, op, Activity,
 			spec.TotalCores(), pw.UncoreW)
 		if !eq.Runaway {
 			pw.CoresW = eq.ChipPowerW - pw.UncoreW
@@ -471,7 +424,7 @@ func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampl
 // Power.TotalW() by construction.
 func (e *Explorer) telemetrySample(pt Point, res sampling.Result, i int) timeseries.Sample {
 	spec := e.Platform
-	dynOne, _ := spec.Core.PowerParts(pt.Op, e.Activity)
+	dynOne, _ := spec.Core.PowerParts(pt.Op, Activity)
 	coreDynW := float64(spec.TotalCores()) * dynOne
 	coreLeakW := pt.Power.CoresW - coreDynW
 	llcW, xbarW, ioW := spec.UncorePowerParts(
@@ -491,7 +444,7 @@ func (e *Explorer) telemetrySample(pt Point, res sampling.Result, i int) timeser
 		},
 		FreqHz:   pt.FreqHz,
 		VoltageV: pt.Op.Vdd,
-		Util:     e.Activity,
+		Util:     Activity,
 	}
 }
 

@@ -40,20 +40,20 @@ type InterferenceReport struct {
 
 // Interference co-schedules aggressor on half of the victim's cluster and
 // measures the victim's slowdown and QoS impact at the given frequency.
-func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz float64) (InterferenceReport, error) {
+func (m Model) Interference(victim, aggressor *workload.Profile, freqHz float64) (InterferenceReport, error) {
 	if victim.Class != workload.ScaleOut {
 		return InterferenceReport{}, fmt.Errorf("core: interference analysis targets scale-out victims, got %s", victim.Name)
 	}
-	cfg := e.SamplingFor(victim)
+	cfg := m.SamplingFor(victim)
 
 	// Solo runs: measure the 2GHz baseline first, then retarget the same
 	// warmed cluster to the analysis frequency.
-	solo, err := sim.NewCluster(e.Sim, victim, qos.BaselineFreqHz)
+	solo, err := sim.NewCluster(m.Sim, victim, qos.BaselineFreqHz)
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	solo.FastForward(e.WarmInstr)
-	solo.Run(e.SettleCycles)
+	solo.FastForward(m.WarmInstr)
+	solo.Run(m.SettleCycles)
 	baseRes, err := sampling.Run(solo, cfg)
 	if err != nil {
 		return InterferenceReport{}, err
@@ -61,7 +61,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 	baseUIPC := victimUIPC(baseRes, len(solo.Profiles()), victim, solo.Profiles())
 
 	solo.SetFrequency(freqHz)
-	solo.Run(e.SettleCycles)
+	solo.Run(m.SettleCycles)
 	soloRes, err := sampling.Run(solo, cfg)
 	if err != nil {
 		return InterferenceReport{}, err
@@ -69,7 +69,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 	soloUIPC := victimUIPC(soloRes, len(solo.Profiles()), victim, solo.Profiles())
 
 	// Mixed run: cores 0-1 victim, cores 2-3 aggressor.
-	n := e.Sim.CoresPerCluster
+	n := m.Sim.CoresPerCluster
 	profiles := make([]*workload.Profile, n)
 	for i := range profiles {
 		if i < n/2 {
@@ -78,12 +78,12 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 			profiles[i] = aggressor
 		}
 	}
-	mixed, err := sim.NewMixedCluster(e.Sim, profiles, freqHz)
+	mixed, err := sim.NewMixedCluster(m.Sim, profiles, freqHz)
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	mixed.FastForward(e.WarmInstr)
-	mixed.Run(e.SettleCycles)
+	mixed.FastForward(m.WarmInstr)
+	mixed.Run(m.SettleCycles)
 	mixedRes, err := sampling.Run(mixed, cfg)
 	if err != nil {
 		return InterferenceReport{}, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ntcsim/internal/dram"
 	"ntcsim/internal/qos"
 	"ntcsim/internal/tech"
 	"ntcsim/internal/workload"
@@ -23,8 +22,8 @@ type SleepReport struct {
 
 // SleepAnalysis evaluates the sleep knob at the operating voltage of the
 // given frequency.
-func (e *Explorer) SleepAnalysis(freqHz float64) (SleepReport, error) {
-	spec := e.Platform
+func (m Model) SleepAnalysis(freqHz float64) (SleepReport, error) {
+	spec := m.Platform
 	op, err := spec.Tech.OperatingPointFor(freqHz, 0)
 	if err != nil {
 		return SleepReport{}, err
@@ -62,8 +61,8 @@ type BoostReport struct {
 const boostBiasV = 1.3
 
 // BoostAnalysis evaluates the boost knob at a fixed supply voltage.
-func (e *Explorer) BoostAnalysis(vdd float64) (BoostReport, error) {
-	spec := e.Platform
+func (m Model) BoostAnalysis(vdd float64) (BoostReport, error) {
+	spec := m.Platform
 	if !spec.Tech.Functional(vdd) {
 		return BoostReport{}, fmt.Errorf("core: %.2fV is outside the functional range", vdd)
 	}
@@ -74,8 +73,8 @@ func (e *Explorer) BoostAnalysis(vdd float64) (BoostReport, error) {
 		return BoostReport{}, fmt.Errorf("core: non-functional at %.2fV without bias", vdd)
 	}
 	n := float64(spec.TotalCores())
-	basePw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, FreqHz: base}, e.Activity)
-	boostPw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, Vbb: bias, FreqHz: boost}, e.Activity)
+	basePw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, FreqHz: base}, Activity)
+	boostPw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, Vbb: bias, FreqHz: boost}, Activity)
 	return BoostReport{
 		Vdd:            vdd,
 		BaseFreqHz:     base,
@@ -85,24 +84,6 @@ func (e *Explorer) BoostAnalysis(vdd float64) (BoostReport, error) {
 		BoostPowerW:    boostPw,
 		TransitionTime: spec.Tech.BiasTransitionTime,
 	}, nil
-}
-
-// LPDDR4Explorer returns a copy of the explorer whose memory subsystem
-// uses mobile DRAM — the paper's discussion-section what-if ("memory
-// technologies that exhibit lower background power than DDR4, such as
-// mobile DRAM (LPDDR4), could be used to increase the energy
-// proportionality of the servers").
-func (e *Explorer) LPDDR4Explorer() *Explorer {
-	c := *e
-	spec := *e.Platform
-	spec.Memory.Timing = dram.LPDDR4()
-	spec.Memory.Power = dram.LPDDR4Power()
-	c.Platform = &spec
-	simCfg := e.Sim
-	simCfg.DRAM.Timing = dram.LPDDR4()
-	simCfg.DRAM.Power = dram.LPDDR4Power()
-	c.Sim = simCfg
-	return &c
 }
 
 // ConsolidationPoint reports the oversubscription headroom at one
@@ -169,9 +150,9 @@ type VMFleet struct {
 
 // PackVMs packs VMs (in order) onto one server at the consolidation point,
 // stopping at the memory capacity or the degradation limit.
-func (e *Explorer) PackVMs(vms []workload.VMSpec, cp ConsolidationPoint, degradationLimit float64) VMFleet {
-	capBytes := e.Platform.Memory.TotalBytes()
-	cores := e.Platform.TotalCores()
+func (m Model) PackVMs(vms []workload.VMSpec, cp ConsolidationPoint, degradationLimit float64) VMFleet {
+	capBytes := m.Platform.Memory.TotalBytes()
+	cores := m.Platform.TotalCores()
 	var fleet VMFleet
 	for _, vm := range vms {
 		if fleet.TotalMemBytes+vm.ProvisionedBytes > capBytes {

@@ -15,17 +15,19 @@ import (
 var uipcBounds = []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32}
 
 // pointKey builds the unique gauge-name prefix for one sweep point. Each
-// (workload, frequency) pair writes its own gauges exactly once, which is
-// what makes float-valued gauges safe under the determinism contract.
-func pointKey(p *workload.Profile, freqHz float64) string {
-	return fmt.Sprintf("point.%s.%04.0fMHz.", p.Name, freqHz/1e6)
+// (variant label, workload, frequency) triple writes its own gauges
+// exactly once, which is what makes float-valued gauges safe under the
+// determinism contract: two model variants sweeping the same workload into
+// one registry must carry distinct labels, or the last writer would win.
+func pointKey(label string, p *workload.Profile, freqHz float64) string {
+	return fmt.Sprintf("%spoint.%s.%04.0fMHz.", label, p.Name, freqHz/1e6)
 }
 
 // harvestResult folds one sweep point's sampled measurements into the
 // registry: cumulative counters (commutative uint64 adds — deterministic
 // across worker counts), the per-window UIPC histogram, and the point's
 // uniquely-keyed result gauges.
-func harvestResult(sink obs.Sink, p *workload.Profile, freqHz float64, res sampling.Result, pt Point) {
+func harvestResult(sink obs.Sink, label string, p *workload.Profile, freqHz float64, res sampling.Result, pt Point) {
 	windows := sink.Counter("sim.windows")
 	windows.Add(uint64(len(res.Samples)))
 	sink.Counter("sim.cycles").Add(uint64(res.TotalCycles))
@@ -117,7 +119,7 @@ func harvestResult(sink obs.Sink, p *workload.Profile, freqHz float64, res sampl
 
 	// The point's evaluated result: energy breakdown by component and the
 	// efficiency/QoS figures, one uniquely-keyed gauge set per point.
-	key := pointKey(p, freqHz)
+	key := pointKey(label, p, freqHz)
 	sink.Gauge(key + "uips_chip").Set(pt.UIPSChip)
 	sink.Gauge(key + "cores_w").Set(pt.Power.CoresW)
 	sink.Gauge(key + "uncore_w").Set(pt.Power.UncoreW)

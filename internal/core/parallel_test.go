@@ -12,12 +12,7 @@ import (
 // warmup on every run instead of sharing the sweep cache).
 func determinismExplorer(t *testing.T, jobs int) *Explorer {
 	t.Helper()
-	e, err := NewExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.WarmInstr = 300_000
-	e.SettleCycles = 5_000
+	e := newTestExplorer(t, 300_000, 5_000)
 	e.Jobs = jobs
 	return e
 }

@@ -20,12 +20,7 @@ import (
 // captured for assertions.
 func warmExplorer(t *testing.T, dir string) (*Explorer, *warnLog) {
 	t.Helper()
-	e, err := NewExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.WarmInstr = 200_000
-	e.SettleCycles = 5_000
+	e := newTestExplorer(t, 200_000, 5_000)
 	e.CheckpointDir = dir
 	w := &warnLog{}
 	e.Warnf = w.add
@@ -116,6 +111,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{"warmup length", func(e *Explorer) { e.WarmInstr++ }},
 		{"settle cycles", func(e *Explorer) { e.SettleCycles++ }},
 		{"cores per cluster", func(e *Explorer) { e.Sim.CoresPerCluster *= 2 }},
+		{"lpddr4 model", func(e *Explorer) { e.Model = e.LPDDR4() }},
+		{"stride prefetch", func(e *Explorer) { e.Sim.Core.StridePrefetch = !e.Sim.Core.StridePrefetch }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

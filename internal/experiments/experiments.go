@@ -169,24 +169,47 @@ func UnmarshalParams(data []byte) (Params, error) {
 	return p, nil
 }
 
+// Model returns the simulation inputs p selects: the fidelity's defaults,
+// then the seed and the warmup/settle overrides on top. Every explorer an
+// experiment builds starts from this one mapping.
+func (p Params) Model() (core.Model, error) {
+	if err := p.Validate(); err != nil {
+		return core.Model{}, err
+	}
+	p = p.Normalized()
+	m, err := core.NewModel(p.Fidelity)
+	if err != nil {
+		return core.Model{}, err
+	}
+	m.Sim.Seed = p.Seed
+	if p.WarmInstr > 0 {
+		m.WarmInstr = p.WarmInstr
+	}
+	if p.SettleCycles > 0 {
+		m.SettleCycles = p.SettleCycles
+	}
+	return m, nil
+}
+
 // NewExplorer constructs the explorer an experiment sweeps with: Params
-// supplies the simulation inputs, Env the seams. It is the single
-// construction path shared by every registered driver, so the CLI and the
-// daemon cannot drift apart.
+// supplies the Model, Env the Runtime. It is the single construction path
+// shared by every registered driver, so the CLI and the daemon cannot
+// drift apart.
 func (p Params) NewExplorer(env Env) (*core.Explorer, error) {
-	return core.NewExplorer(
-		core.WithSeed(p.Normalized().Seed),
-		core.WithJobs(env.Jobs),
-		core.WithCheckpointDir(env.CheckpointDir),
-		core.WithFS(env.FS),
-		core.WithObs(env.Obs),
-		core.WithTracer(env.Tracer),
-		core.WithProgress(env.Progress),
-		core.WithTelemetry(env.Telemetry, ""),
-		core.WithWarnf(env.Warnf),
-		core.WithFidelity(p.Fidelity),
-		core.WithWarmup(p.WarmInstr, p.SettleCycles),
-	)
+	m, err := p.Model()
+	if err != nil {
+		return nil, err
+	}
+	return &core.Explorer{Model: m, Runtime: core.Runtime{
+		Jobs:          env.Jobs,
+		CheckpointDir: env.CheckpointDir,
+		FS:            env.FS,
+		Obs:           env.Obs,
+		Tracer:        env.Tracer,
+		Progress:      env.Progress,
+		Telemetry:     env.Telemetry,
+		Warnf:         env.Warnf,
+	}}, nil
 }
 
 // RunFunc is the uniform driver signature. The passed Params are already

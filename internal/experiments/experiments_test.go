@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ntcsim/internal/obs"
+	"ntcsim/internal/sampling"
+	"ntcsim/internal/workload"
 )
 
 // TestParamsValidate covers the typed rejection of each hostile field.
@@ -177,5 +183,86 @@ func TestRunCheap(t *testing.T) {
 	// A nil Env.Out must run silently rather than crash.
 	if _, err := Run(context.Background(), "fig1", Params{}, Env{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParamsModel pins the one mapping from Params to the core.Model every
+// experiment sweeps with: the fidelity's defaults first, the overrides and
+// the seed on top, whatever order the fields are read in.
+func TestParamsModel(t *testing.T) {
+	ds := workload.DataServing()
+	cases := []struct {
+		name     string
+		p        Params
+		warm     uint64
+		settle   int64
+		seed     uint64
+		sampling sampling.Config
+	}{
+		{"quick default", Params{}, 2_000_000, 20_000, DefaultSeed, sampling.QuickConfig()},
+		{"paper", Params{Fidelity: "paper"}, 8_000_000, 100_000, DefaultSeed, sampling.PaperConfig(ds)},
+		{"warm override beats the fidelity", Params{Fidelity: "paper", WarmInstr: 300_000}, 300_000, 100_000, DefaultSeed, sampling.PaperConfig(ds)},
+		{"settle alone keeps the fidelity's warmup", Params{Fidelity: "paper", SettleCycles: 7_000}, 8_000_000, 7_000, DefaultSeed, sampling.PaperConfig(ds)},
+		{"explicit seed", Params{Seed: 42}, 2_000_000, 20_000, 42, sampling.QuickConfig()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := tc.p.Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.WarmInstr != tc.warm || m.SettleCycles != tc.settle || m.Sim.Seed != tc.seed {
+				t.Fatalf("Model() = warm %d, settle %d, seed %#x; want %d, %d, %#x",
+					m.WarmInstr, m.SettleCycles, m.Sim.Seed, tc.warm, tc.settle, tc.seed)
+			}
+			if got := m.SamplingFor(ds); !reflect.DeepEqual(got, tc.sampling) {
+				t.Fatalf("SamplingFor = %+v, want %+v", got, tc.sampling)
+			}
+		})
+	}
+	if _, err := (Params{Fidelity: "bogus"}).Model(); err == nil {
+		t.Fatal("invalid params must not build a model")
+	}
+}
+
+// ablationMetrics runs the ablation experiment with a metrics registry and
+// returns the deterministic snapshot as JSON plus the distinct point-gauge
+// prefixes it wrote.
+func ablationMetrics(t *testing.T, jobs int) ([]byte, map[string]bool) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	p := Params{WarmInstr: 200_000, SettleCycles: 10_000}
+	if _, err := Run(context.Background(), "ablation", p, Env{Jobs: jobs, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot().Deterministic()
+	points := map[string]bool{}
+	for name := range snap.Gauges {
+		if strings.HasSuffix(name, ".uips_chip") && strings.Contains(name, "point.") {
+			points[strings.TrimSuffix(name, "uips_chip")] = true
+		}
+	}
+	var buf bytes.Buffer
+	if err := snap.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), points
+}
+
+// TestAblationMetricsDeterministicAcrossJobs: the ablation sweeps the same
+// workloads under two models each (DDR4/LPDDR4 media-streaming, 4-/8-core
+// web-search). Every one of its 20 points must write its own gauge set,
+// and the snapshot must not depend on which sweep finishes last.
+func TestAblationMetricsDeterministicAcrossJobs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("four instrumented sweeps per run; skipped in -short and -race runs")
+	}
+	serial, points := ablationMetrics(t, 1)
+	if len(points) != 20 {
+		t.Fatalf("ablation wrote %d distinct point gauge sets, want 20 (4 sweeps x 5 points): %v", len(points), points)
+	}
+	parallel4, _ := ablationMetrics(t, 4)
+	if !bytes.Equal(serial, parallel4) {
+		t.Fatal("ablation metrics differ between jobs=1 and jobs=4")
 	}
 }

@@ -195,10 +195,9 @@ func runAblation(ctx context.Context, p Params, env Env) error {
 	// concurrently under the -jobs budget.
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 1.5e9, 2.0e9}
 	var ddr4Sweep, lpSweep *core.Sweep
-	lpE := e.LPDDR4Explorer()
-	// Prefix the variant explorers' telemetry so their sweeps of the same
-	// workload names land in distinct series.
-	lpE.TelemetryPrefix = "lpddr4/"
+	// Label the variant explorers so their sweeps of the same workload
+	// names land in distinct telemetry series and point gauges.
+	lpE := variant(e, e.LPDDR4(), "lpddr4/")
 	err = parallel.Do(ctx, e.Jobs,
 		func(ctx context.Context) error {
 			var err error
@@ -226,25 +225,12 @@ func runAblation(ctx context.Context, p Params, env Env) error {
 
 	// Cluster-size sensitivity (paper Sec. II-B: trends are unaffected).
 	fmt.Fprintln(out, "-- cluster-size ablation: per-core UIPC trend, 4-core vs 8-core clusters --")
-	e4, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
-	e8, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
-	e8.Sim.CoresPerCluster = 8
-	e8.Sim.LLCBanks = 8
-	e8.Sim.LLC.CapacityBytes = 8 << 20 // keep the core:cache ratio
-	e8.Platform.Clusters = 4           // roughly iso-area
-	e8.Platform.CoresPerCl = 8
-	e8.TelemetryPrefix = "8c/"
+	e8 := variant(e, e.EightCore(), "8c/")
 	var s4, s8 *core.Sweep
 	err = parallel.Do(ctx, e.Jobs,
 		func(ctx context.Context) error {
 			var err error
-			s4, err = e4.Sweep(ctx, workload.WebSearch(), freqs)
+			s4, err = e.Sweep(ctx, workload.WebSearch(), freqs)
 			return err
 		},
 		func(ctx context.Context) error {
@@ -258,9 +244,17 @@ func runAblation(ctx context.Context, p Params, env Env) error {
 	w = env.tbl()
 	fmt.Fprintln(w, "freq_MHz\tUIPC/core_4c\tUIPC/core_8c")
 	for i := range freqs {
-		u4 := s4.Points[i].UIPSChip / freqs[i] / float64(e4.Platform.TotalCores())
+		u4 := s4.Points[i].UIPSChip / freqs[i] / float64(e.Platform.TotalCores())
 		u8 := s8.Points[i].UIPSChip / freqs[i] / float64(e8.Platform.TotalCores())
 		fmt.Fprintf(w, "%.0f\t%.3f\t%.3f\n", freqs[i]/1e6, u4, u8)
 	}
 	return w.Flush()
+}
+
+// variant returns an explorer for model m on e's runtime, labelled so its
+// telemetry series and point gauges stay apart from e's.
+func variant(e *core.Explorer, m core.Model, label string) *core.Explorer {
+	v := &core.Explorer{Model: m, Runtime: e.Runtime}
+	v.Label = label
+	return v
 }
